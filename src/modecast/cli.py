@@ -19,19 +19,12 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .dmd import fit_exact_dmd
 from .errors import ValidationError
-from .hankel import HdmdConfig, build_hankel_pair, fit_hdmd, n_samples_floor, predict
-from .harness import (
-    SweepPlan,
-    compare_filtered_unfiltered,
-    dataset_hash,
-    n_samples_nearest,
-    run_sweep,
-)
+from .hankel import HdmdConfig, fit_hdmd, n_samples_floor, predict
+from .harness import SweepPlan, compare_filtered_unfiltered, dataset_hash, run_sweep
 from .metrics import evaluate_all
 from .modal import modal_energy_ranking, reference_period
-from .series import FilterSpec, MultivariateSeries, load_csv, lowpass_filter, write_csv, zscore_fit
+from .series import FilterSpec, MultivariateSeries, load_csv, lowpass_filter, write_csv, write_json
 from .stochastic import ShdmdConfig, shdmd_forecast
 from .synth import SynthSpec, demo_dataset, generate
 
@@ -232,8 +225,7 @@ def write_manifest(out_dir: Path, doc: dict) -> None:
         "scipy": scipy.__version__,
     }
     doc["decisions"] = DECISIONS
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
+    write_json(out_dir / "manifest.json", doc)
 
 
 def _augmented_row_names(channels: tuple[str, ...], n_d: int) -> tuple[str, ...]:
@@ -256,16 +248,8 @@ def cmd_analyze(args) -> int:
         n_tr = n_samples_floor(resolve_seconds(args.ltr, t_ref), data.dt)
     n_d = n_samples_floor(resolve_seconds(args.ld, t_ref), data.dt)
 
-    window = data.window(data.n_samples - n_tr, data.n_samples)
-    stats = zscore_fit(window, eps_std=1e-12)
-    normalized = window.with_values(
-        (window.values - stats.mean[:, None]) / stats.std[:, None]
-    )
-    pair = build_hankel_pair(normalized, n_d)
-    model = fit_exact_dmd(pair)
-    report = modal_energy_ranking(
-        model, pair, channels=_augmented_row_names(data.channels, n_d)
-    )
+    model = fit_hdmd(data, HdmdConfig(n_tr, n_d), data.t_end).model
+    report = modal_energy_ranking(model, channels=_augmented_row_names(data.channels, n_d))
     report.save_json(out / "modal_report.json")
     (out / "modal_report.txt").write_text(report.to_text() + "\n", encoding="utf-8")
     model.save_json(out / "model.json")
@@ -360,6 +344,9 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     raw, source = load_dataset(args)
+    # The raw record, not the filtered one, sets t_ref: compare-filter runs
+    # the filtered and unfiltered sweeps on one set of test instants, which
+    # needs one t_ref for both.
     t_ref, ref_info = resolve_t_ref(args, raw)
 
     plan = SweepPlan(
@@ -393,8 +380,7 @@ def cmd_sweep(args) -> int:
         write_manifest(out, {**base, "mode": "compare-filter"})
     else:
         result = run_sweep(raw, plan, t_ref, workers=args.workers)
-        result.save(out)
-        write_manifest(out, base)
+        write_manifest(out, {**base, **result.save(out)})
         skipped = len(result.skipped)
         print(
             f"{len(result.samples)} samples over {len(plan.ltr_levels) * len(plan.ld_levels) - skipped}"
@@ -433,8 +419,7 @@ def cmd_synth(args) -> int:
         "notes": truth.notes,
         "nonlinear_channels": list(truth.nonlinear_channels),
     }
-    with open(out / "truth.json", "w", encoding="utf-8") as fh:
-        json.dump(truth_doc, fh, indent=2)
+    write_json(out / "truth.json", truth_doc)
     write_manifest(out, {
         "command": "synth",
         "spec": spec_doc,

@@ -10,13 +10,13 @@ by discrete eigenvalue powers.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateDataError, InstabilityWarning, ValidationError
+from .series import write_json
 
 __all__ = [
     "SnapshotPair",
@@ -146,8 +146,7 @@ class DmdModel:
         }
 
     def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
+        write_json(path, self.to_dict())
 
 
 def _complex_pairs(arr: np.ndarray) -> list:

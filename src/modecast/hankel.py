@@ -9,21 +9,22 @@ physical units.
 
 from __future__ import annotations
 
-import json
 import math
-import warnings
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dmd import DEFAULT_RANK_POLICY, DmdModel, RankPolicy, SnapshotPair, fit_exact_dmd
-from .errors import InstabilityWarning, ValidationError
-from .series import GRID_EPS, MultivariateSeries, ZScoreStats, zscore_fit
+from .dmd import DEFAULT_RANK_POLICY, DmdModel, RankPolicy, SnapshotPair, fit_exact_dmd, forecast
+from .errors import ValidationError
+from .series import GRID_EPS, MultivariateSeries, ZScoreStats, write_json, zscore_fit
 
 __all__ = [
     "HdmdConfig",
     "HdmdForecaster",
     "n_samples_floor",
+    "hankel_shape_error",
+    "pool_map",
     "build_hankel_pair",
     "fit_hdmd",
     "predict",
@@ -33,6 +34,9 @@ __all__ = [
 # scale instead of rejected, so flat channels forecast their own constant.
 EPS_STD = 1e-12
 
+# A snapshot pair needs at least this many columns (see SnapshotPair).
+MIN_HANKEL_COLS = 2
+
 
 def n_samples_floor(length_s: float, dt: float) -> int:
     """Duration in seconds to sample count, taking the integer part."""
@@ -41,13 +45,39 @@ def n_samples_floor(length_s: float, dt: float) -> int:
     return int(math.floor(length_s / dt + GRID_EPS))
 
 
+def hankel_shape_error(n_tr: int, n_d: int) -> str:
+    """Why n_tr samples cannot embed n_d delays, or '' when they can.
+
+    The Hankel pair built from them has n_tr - 1 - n_d columns, and a
+    snapshot pair needs at least MIN_HANKEL_COLS.
+    """
+    if n_d < 0:
+        return f"n_d must be >= 0, got {n_d}"
+    cols = n_tr - 1 - n_d
+    if cols < MIN_HANKEL_COLS:
+        return (
+            f"{n_tr} samples with n_d={n_d} delays leave {cols} Hankel columns; "
+            f"need at least {n_d + 1 + MIN_HANKEL_COLS} samples"
+        )
+    return ""
+
+
+def pool_map(fn, items, workers: int | None) -> list:
+    """[fn(x) for x in items], on a pool of `workers` threads unless workers
+    is at most 1 (None: ThreadPoolExecutor's default size)."""
+    if workers is None or workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
+
+
 @dataclass(frozen=True)
 class HdmdConfig:
     """Training-window length and delay depth, in samples.
 
     n_tr is the number of training samples, n_d the number of delayed
-    copies embedded in the augmented state. The Hankel matrices built from
-    the window have n_tr - 1 - n_d columns, which must be at least 1.
+    copies embedded in the augmented state; hankel_shape_error states
+    which pairs fit.
     """
 
     n_tr: int
@@ -55,15 +85,9 @@ class HdmdConfig:
     rank_policy: RankPolicy = DEFAULT_RANK_POLICY
 
     def __post_init__(self):
-        if self.n_tr < 2:
-            raise ValidationError(f"n_tr must be >= 2, got {self.n_tr}")
-        if self.n_d < 0:
-            raise ValidationError(f"n_d must be >= 0, got {self.n_d}")
-        if self.n_tr - 1 - self.n_d < 1:
-            raise ValidationError(
-                f"n_tr={self.n_tr}, n_d={self.n_d} leaves "
-                f"{self.n_tr - 1 - self.n_d} Hankel columns; need at least 1"
-            )
+        reason = hankel_shape_error(self.n_tr, self.n_d)
+        if reason:
+            raise ValidationError(reason)
 
     @classmethod
     def from_seconds(
@@ -100,8 +124,7 @@ class HdmdForecaster:
         return doc
 
     def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
+        write_json(path, self.to_dict())
 
 
 def build_hankel_pair(series: MultivariateSeries, n_d: int) -> SnapshotPair:
@@ -112,14 +135,10 @@ def build_hankel_pair(series: MultivariateSeries, n_d: int) -> SnapshotPair:
     shifted one sample forward. Shapes: n_channels * (n_d + 1) rows and
     m - 1 - n_d columns for a series of m samples.
     """
-    if n_d < 0:
-        raise ValidationError(f"n_d must be >= 0, got {n_d}")
     m = series.n_samples
-    # m = n_d + 2 would leave a single column, below the snapshot-pair minimum.
-    if m < n_d + 3:
-        raise ValidationError(
-            f"series of {m} samples cannot embed n_d={n_d} delays; need at least {n_d + 3}"
-        )
+    reason = hankel_shape_error(m, n_d)
+    if reason:
+        raise ValidationError(reason)
     n = series.n_channels
     width = m - n_d  # columns of the full embedding; the pair shares m-1-n_d
     emb = np.empty((n * (n_d + 1), width))
@@ -132,7 +151,6 @@ def fit_hdmd(
     series: MultivariateSeries,
     config: HdmdConfig,
     t_end: float,
-    eps_std: float = EPS_STD,
 ) -> HdmdForecaster:
     """Fit on the window of config.n_tr samples ending at t_end.
 
@@ -148,7 +166,7 @@ def fit_hdmd(
             "starts before the record"
         )
     window = series.window(i_start, i_end + 1)
-    stats = zscore_fit(window, eps_std=eps_std)
+    stats = zscore_fit(window, eps_std=EPS_STD)
     normalized = (window.values - stats.mean[:, None]) / stats.std[:, None]
     pair = build_hankel_pair(window.with_values(normalized), config.n_d)
     model = fit_exact_dmd(pair, config.rank_policy)
@@ -175,20 +193,10 @@ def predict(forecaster: HdmdForecaster, horizon: float) -> MultivariateSeries:
         )
     n_steps = n_samples_floor(horizon, forecaster.dt)
     model = forecaster.model
-    if model.is_unstable():
-        warnings.warn(
-            f"eigenvalue magnitude {float(np.max(np.abs(model.eigenvalues))):.4f} "
-            "exceeds the growth guard; forecast may diverge",
-            InstabilityWarning,
-            stacklevel=2,
-        )
     # Propagating only the top block equals slicing the full augmented
     # forecast: the block rows of Phi act independently on the modal
     # dynamics.
-    powers = model.eigenvalues[:, None] ** np.arange(1, n_steps + 1)
-    top = np.real(
-        model.modes[: forecaster.n_channels] @ (powers * model.amplitudes[:, None])
-    )
+    top = forecast(replace(model, modes=model.modes[: forecaster.n_channels]), n_steps)
     values = top * forecaster.stats.std[:, None] + forecaster.stats.mean[:, None]
     return MultivariateSeries(
         forecaster.channels, forecaster.dt, values, t0=forecaster.t_end + forecaster.dt

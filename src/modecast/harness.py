@@ -11,11 +11,8 @@ reduces deterministically.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
 from pathlib import Path
@@ -24,9 +21,9 @@ import numpy as np
 
 from .dmd import DEFAULT_RANK_POLICY, RankPolicy
 from .errors import ValidationError
-from .hankel import EPS_STD, HdmdConfig, fit_hdmd, predict
+from .hankel import HdmdConfig, fit_hdmd, hankel_shape_error, pool_map, predict
 from .metrics import DEFAULT_BINS, MetricsReport, evaluate_all
-from .series import FilterSpec, MultivariateSeries, lowpass_filter
+from .series import FilterSpec, MultivariateSeries, lowpass_filter, write_json, write_rows
 
 __all__ = [
     "SweepPlan",
@@ -61,9 +58,9 @@ def n_samples_nearest(length_s: float, dt: float) -> int:
 class SweepPlan:
     """Full-factorial design over (l_tr, l_d) with horizons l_te.
 
-    All levels are multiples of the reference period. Cells that leave the
-    Hankel matrices without columns are marked skipped rather than failing
-    the sweep.
+    All levels are multiples of the reference period. Cells whose Hankel
+    shape is invalid (see hankel_shape_error) are marked skipped rather
+    than failing the sweep.
     """
 
     ltr_levels: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0)
@@ -192,38 +189,39 @@ class SweepResult:
     skipped: tuple[SkippedCell, ...]
     dataset_sha256: str
 
+    def _reports_by_cell(self) -> dict[tuple[float, float, float], list[MetricsReport]]:
+        """Successful reports per (l_tr, l_d, l_te), in sample order."""
+        groups = {}
+        for s in self.samples:
+            if s.report is not None:
+                groups.setdefault((s.l_tr, s.l_d, s.l_te), []).append(s.report)
+        return groups
+
     def metric_samples(
         self, l_tr: float, l_d: float, l_te: float, metric: str
     ) -> np.ndarray:
         """Channel-averaged values of one metric for one cell and horizon."""
         if metric not in METRIC_NAMES:
             raise ValidationError(f"unknown metric {metric!r}")
-        out = [
-            getattr(s.report, f"avg_{metric}")
-            for s in self.samples
-            if s.report is not None
-            and s.l_tr == l_tr
-            and s.l_d == l_d
-            and s.l_te == l_te
-        ]
-        return np.asarray(out)
+        reports = self._reports_by_cell().get((l_tr, l_d, l_te), [])
+        return np.asarray([getattr(r, f"avg_{metric}") for r in reports])
 
     def summaries(self) -> dict[tuple[float, float, float, str], BoxplotStats]:
         """Boxplot stats per (l_tr, l_d, l_te, metric) over test instants."""
-        out = {}
-        for l_tr, l_d, l_te in sorted({(s.l_tr, s.l_d, s.l_te) for s in self.samples}):
-            for metric in METRIC_NAMES:
-                values = self.metric_samples(l_tr, l_d, l_te, metric)
-                if values.size:
-                    out[(l_tr, l_d, l_te, metric)] = boxplot_stats(values)
-        return out
+        groups = self._reports_by_cell()
+        return {
+            (*cell, metric): boxplot_stats([getattr(r, f"avg_{metric}") for r in groups[cell]])
+            for cell in sorted(groups)
+            for metric in METRIC_NAMES
+        }
 
     def median(self, metric: str, l_te: float) -> float:
         """Median of one metric across all cells at one horizon."""
         values = [
-            getattr(s.report, f"avg_{metric}")
-            for s in self.samples
-            if s.report is not None and s.l_te == l_te
+            getattr(r, f"avg_{metric}")
+            for cell, reports in self._reports_by_cell().items()
+            if cell[2] == l_te
+            for r in reports
         ]
         if not values:
             raise ValidationError(f"no successful samples at l_te={l_te}")
@@ -250,44 +248,27 @@ class SweepResult:
                 for c in self.skipped
             ],
         }
-        with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2)
-
-        with open(out / "samples.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["l_tr", "l_d", "l_te", "instant", "nrmse", "nammae", "jsd", "error"]
-            )
-            for s in self.samples:
-                if s.report is None:
-                    writer.writerow(
-                        [s.l_tr, s.l_d, s.l_te, repr(s.t_end), "", "", "", s.error]
-                    )
-                else:
-                    writer.writerow(
-                        [
-                            s.l_tr,
-                            s.l_d,
-                            s.l_te,
-                            repr(s.t_end),
-                            repr(s.report.avg_nrmse),
-                            repr(s.report.avg_nammae),
-                            repr(s.report.avg_jsd),
-                            "",
-                        ]
-                    )
-
-        with open(out / "boxplots.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["l_tr", "l_d", "l_te", "metric", "q1", "median", "q3",
-                 "whisker_lo", "whisker_hi", "n_outliers", "n_samples"]
-            )
-            for (l_tr, l_d, l_te, metric), st in self.summaries().items():
-                writer.writerow(
-                    [l_tr, l_d, l_te, metric, repr(st.q1), repr(st.median), repr(st.q3),
-                     repr(st.whisker_lo), repr(st.whisker_hi), st.n_outliers, st.n_samples]
-                )
+        write_json(out / "manifest.json", manifest)
+        write_rows(
+            out / "samples.csv",
+            ["l_tr", "l_d", "l_te", "instant", "nrmse", "nammae", "jsd", "error"],
+            (
+                [s.l_tr, s.l_d, s.l_te, repr(s.t_end)]
+                + (["", "", "", s.error] if s.report is None else
+                   [repr(getattr(s.report, f"avg_{m}")) for m in METRIC_NAMES] + [""])
+                for s in self.samples
+            ),
+        )
+        write_rows(
+            out / "boxplots.csv",
+            ["l_tr", "l_d", "l_te", "metric", "q1", "median", "q3",
+             "whisker_lo", "whisker_hi", "n_outliers", "n_samples"],
+            (
+                [l_tr, l_d, l_te, metric, repr(st.q1), repr(st.median), repr(st.q3),
+                 repr(st.whisker_lo), repr(st.whisker_hi), st.n_outliers, st.n_samples]
+                for (l_tr, l_d, l_te, metric), st in self.summaries().items()
+            ),
+        )
 
         # Long-format whitespace table for external plotting tools.
         with open(out / "samples.dat", "w", encoding="utf-8") as fh:
@@ -346,7 +327,6 @@ def run_sweep(
     plan: SweepPlan,
     t_ref: float,
     workers: int | None = None,
-    eps_std: float = EPS_STD,
 ) -> SweepResult:
     """Evaluate every valid (l_tr, l_d) cell at every instant and horizon.
 
@@ -369,13 +349,9 @@ def run_sweep(
     for (l_tr, n_tr), (l_d, n_d) in product(
         zip(plan.ltr_levels, n_tr_levels), zip(plan.ld_levels, n_d_levels)
     ):
-        if n_tr - 1 - n_d < 1:
-            skipped.append(
-                SkippedCell(
-                    l_tr, l_d, n_tr, n_d,
-                    f"n_tr - 1 - n_d = {n_tr - 1 - n_d} < 1: Hankel matrices have no columns",
-                )
-            )
+        reason = hankel_shape_error(n_tr, n_d)
+        if reason:
+            skipped.append(SkippedCell(l_tr, l_d, n_tr, n_d, reason))
         else:
             cells.append((l_tr, l_d, n_tr, n_d))
 
@@ -385,7 +361,7 @@ def run_sweep(
         out = []
         try:
             config = HdmdConfig(n_tr=n_tr, n_d=n_d, rank_policy=plan.rank_policy)
-            forecaster = fit_hdmd(data, config, t_end, eps_std=eps_std)
+            forecaster = fit_hdmd(data, config, t_end)
             prediction = predict(forecaster, n_te_max * series.dt)
             i_end = data.sample_index(t_end)
             for l_te, n_te in zip(plan.lte_levels, n_te_levels):
@@ -412,11 +388,7 @@ def run_sweep(
         return out
 
     tasks = [(cell, i) for cell in cells for i in range(len(instants))]
-    if workers is None or workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(run_cell_instant, tasks))
-    else:
-        chunks = [run_cell_instant(t) for t in tasks]
+    chunks = pool_map(run_cell_instant, tasks, workers)
 
     samples = tuple(s for chunk in chunks for s in chunk)
     return SweepResult(

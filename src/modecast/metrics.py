@@ -9,13 +9,12 @@ by ln 2. Standard deviations use the population convention throughout.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .series import MultivariateSeries
+from .series import MultivariateSeries, write_json
 
 __all__ = [
     "MetricsReport",
@@ -63,8 +62,7 @@ class MetricsReport:
         }
 
     def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
+        write_json(path, self.to_dict())
 
 
 def _as_matrix(x) -> np.ndarray:

@@ -8,7 +8,6 @@ Welch-averaged power spectrum of a chosen channel.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -16,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal
 
-from .dmd import DmdModel, SnapshotPair
+from .dmd import DmdModel
 from .errors import ValidationError
-from .series import MultivariateSeries
+from .series import MultivariateSeries, write_json
 
 __all__ = [
     "ModalEntry",
@@ -76,8 +75,7 @@ class ModalReport:
         }
 
     def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
+        write_json(path, self.to_dict())
 
     def to_text(self, top_channels: int = 3) -> str:
         """Plain table: one row per mode with its strongest participants."""
@@ -140,27 +138,19 @@ def group_conjugate_pairs(eigenvalues: np.ndarray, tol: float = PAIR_TOL) -> lis
 
 def modal_energy_ranking(
     model: DmdModel,
-    training: SnapshotPair,
     channels: tuple[str, ...] | None = None,
 ) -> ModalReport:
     """Rank modes by the energy of their modal coordinate signals.
 
-    Each training snapshot is projected onto the mode basis by least
-    squares; a mode's energy is the mean squared magnitude of its
-    coordinate over the window, normalized by the total.
+    The energies are the ones the fit computed: the mean squared magnitude
+    of each mode's coordinate over the training snapshots, normalized by
+    the total.
     """
-    if training.n_states != model.n_states:
-        raise ValidationError(
-            f"training pair has {training.n_states} states, model {model.n_states}"
-        )
-    coords, _, rank, _ = np.linalg.lstsq(model.modes, training.X, rcond=None)
-    min_norm = bool(rank < model.rank)
-    if min_norm:
+    if model.energies is None:
+        raise ValidationError("model carries no modal energies")
+    if model.min_norm_amplitudes:
         warnings.warn("mode basis is rank deficient; minimum-norm projection", stacklevel=2)
-    energies = np.mean(np.abs(coords) ** 2, axis=1)
-    total = energies.sum()
-    if total > 0:
-        energies = energies / total
+    energies = model.energies
 
     freq = np.abs(np.angle(model.eigenvalues)) / (2.0 * np.pi * model.dt)
 
@@ -197,7 +187,7 @@ def modal_energy_ranking(
         entries=tuple(entries),
         cumulative_energy=cumulative,
         channels=channels,
-        min_norm_projection=min_norm,
+        min_norm_projection=model.min_norm_amplitudes,
     )
 
 

@@ -8,6 +8,7 @@ pure function of its inputs; series are immutable after construction.
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,8 @@ __all__ = [
     "FilterSpec",
     "load_csv",
     "write_csv",
+    "write_rows",
+    "write_json",
     "resample_uniform",
     "zscore_fit",
     "zscore_apply",
@@ -226,13 +229,24 @@ def load_csv(path, dt_target: float) -> MultivariateSeries:
 def write_csv(series: MultivariateSeries, path) -> None:
     """Write a series in the same `time,<ch>,...` format load_csv reads."""
     times = series.times()
+    write_rows(path, ("time",) + series.channels, (
+        [repr(float(times[j]))] + [repr(float(x)) for x in series.values[:, j]]
+        for j in range(series.n_samples)
+    ))
+
+
+def write_rows(path, header, rows) -> None:
+    """Write a CSV table: the header row, then every row of `rows`."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(("time",) + series.channels)
-        for j in range(series.n_samples):
-            writer.writerow(
-                [repr(float(times[j]))] + [repr(float(x)) for x in series.values[:, j]]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, doc) -> None:
+    """Write a JSON document with two-space indentation."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
 
 
 def zscore_fit(series: MultivariateSeries, eps_std: float | None = None) -> ZScoreStats:

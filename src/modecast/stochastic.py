@@ -13,16 +13,14 @@ the fits are scheduled.
 
 from __future__ import annotations
 
-import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dmd import DEFAULT_RANK_POLICY, RankPolicy
 from .errors import EnsembleError, ValidationError
-from .hankel import EPS_STD, HdmdConfig, fit_hdmd, n_samples_floor, predict
-from .series import MultivariateSeries
+from .hankel import HdmdConfig, fit_hdmd, hankel_shape_error, n_samples_floor, pool_map, predict
+from .series import MultivariateSeries, write_rows
 
 __all__ = [
     "ShdmdConfig",
@@ -100,19 +98,12 @@ class StochasticForecast:
         header = ["time"]
         for ch in self.mean.channels:
             header += [f"{ch}_mean", f"{ch}_std", f"{ch}_lo", f"{ch}_hi"]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for j in range(self.mean.n_samples):
-                row = [repr(float(times[j]))]
-                for i in range(self.mean.n_channels):
-                    row += [
-                        repr(float(self.mean.values[i, j])),
-                        repr(float(self.std.values[i, j])),
-                        repr(float(self.lower.values[i, j])),
-                        repr(float(self.upper.values[i, j])),
-                    ]
-                writer.writerow(row)
+        parts = (self.mean, self.std, self.lower, self.upper)
+        write_rows(path, header, (
+            [repr(float(times[j]))]
+            + [repr(float(p.values[i, j])) for i in range(self.mean.n_channels) for p in parts]
+            for j in range(self.mean.n_samples)
+        ))
 
 
 def sample_hyperparams(
@@ -138,7 +129,7 @@ def sample_hyperparams(
         l_d = rng.uniform(rlo, rhi) * l_tr
         n_tr = n_samples_floor(l_tr, dt)
         n_d = n_samples_floor(l_d, dt)
-        if n_tr >= 2 and n_d >= 0 and n_tr - 1 - n_d >= 1:
+        if not hankel_shape_error(n_tr, n_d):
             return n_tr, n_d
     raise ValidationError(
         f"no valid (n_tr, n_d) drawn in {max_retries} tries; "
@@ -163,7 +154,6 @@ def shdmd_forecast(
     t_end: float,
     horizon: float,
     t_ref: float,
-    eps_std: float = EPS_STD,
     workers: int | None = None,
 ) -> StochasticForecast:
     """Fit and predict an ensemble of Hankel-DMD forecasters.
@@ -192,7 +182,6 @@ def shdmd_forecast(
                 series,
                 HdmdConfig(n_tr=n_tr, n_d=n_d, rank_policy=config.rank_policy),
                 t_end,
-                eps_std=eps_std,
             )
             pred = predict(fc, horizon)
             info = Realization(n_tr, n_d, ok=True, unstable=fc.model.is_unstable())
@@ -200,11 +189,7 @@ def shdmd_forecast(
         except (ValidationError, np.linalg.LinAlgError, ValueError) as exc:
             return Realization(n_tr, n_d, ok=False, message=str(exc)), None
 
-    if workers is None or workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_one, draws))
-    else:
-        outcomes = [run_one(d) for d in draws]
+    outcomes = pool_map(run_one, draws, workers)
 
     infos = tuple(info for info, _ in outcomes)
     member_values = [values for _, values in outcomes if values is not None]

@@ -94,8 +94,13 @@ class TestConfig:
             HdmdConfig(n_tr=5, n_d=4)
 
     def test_minimal_valid(self):
-        config = HdmdConfig(n_tr=3, n_d=1)
-        assert config.n_tr - 1 - config.n_d == 1
+        config = HdmdConfig(n_tr=4, n_d=1)
+        assert config.n_tr - 1 - config.n_d == 2
+
+    def test_single_column_rejected(self):
+        # One Hankel column is below the snapshot pair's two.
+        with pytest.raises(ValidationError, match="Hankel columns"):
+            HdmdConfig(n_tr=20, n_d=18)
 
 
 class TestFitHdmd:

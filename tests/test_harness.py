@@ -145,6 +145,36 @@ class TestRunSweep:
         kept = {(s.l_tr, s.l_d) for s in result.samples}
         assert kept == {(4.0, 2.0)}
 
+    def test_single_column_cell_skipped(self, small_noisy):
+        plan = SweepPlan(
+            ltr_levels=(2.0,), ld_levels=(1.8,), lte_levels=(1.0,),
+            n_test_instants=2, seed=5,
+        )
+        result = run_sweep(small_noisy, plan, 5.0, workers=1)
+        # 20 samples and 18 delays leave one Hankel column
+        assert [(c.n_tr, c.n_d) for c in result.skipped] == [(20, 18)]
+        assert result.samples == ()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_flat_truth_becomes_error_sample(self, workers, tmp_path):
+        from modecast import MultivariateSeries
+
+        t = 0.5 * np.arange(400)
+        series = MultivariateSeries(
+            ("osc", "flat"), 0.5, np.vstack([np.sin(2 * np.pi * t / 5.0), np.full(t.size, 3.0)])
+        )
+        plan = SweepPlan(
+            ltr_levels=(4.0,), ld_levels=(1.0,), lte_levels=(1.0, 2.0),
+            n_test_instants=3, seed=2, filter_on=False,
+        )
+        result = run_sweep(series, plan, 5.0, workers=workers)
+        assert len(result.samples) == 2 * 3
+        assert result.n_failures == len(result.samples)
+        assert all("zero standard deviation" in s.error for s in result.samples)
+        result.save(tmp_path)
+        rows = (tmp_path / "samples.csv").read_text().splitlines()[1:]
+        assert len(rows) == 6 and all("zero standard deviation" in r for r in rows)
+
     def test_skip_iff_shape_rule(self, small_noisy):
         t_ref = 5.0
         plan = SweepPlan(
@@ -157,7 +187,7 @@ class TestRunSweep:
             for l_d in plan.ld_levels:
                 n_tr = n_samples_nearest(l_tr * t_ref, small_noisy.dt)
                 n_d = n_samples_nearest(l_d * t_ref, small_noisy.dt)
-                assert ((l_tr, l_d) in skipped_cells) == (n_tr - 1 - n_d < 1)
+                assert ((l_tr, l_d) in skipped_cells) == (n_tr - 1 - n_d < 2)
 
     def test_deterministic_exports(self, small_noisy, tmp_path):
         plan = SweepPlan(

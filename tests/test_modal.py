@@ -29,14 +29,14 @@ class TestEnergyRanking:
         x = 0.9 ** np.arange(25.0)
         pair = SnapshotPair.from_snapshots(x, dt=0.1)
         model = fit_exact_dmd(pair)
-        report = modal_energy_ranking(model, pair)
+        report = modal_energy_ranking(model)
         assert len(report.entries) == 1
         assert report.entries[0].energy == pytest.approx(1.0, abs=1e-12)
 
     def test_amplitude_ratio_drives_energy(self):
         pair = SnapshotPair.from_snapshots(lti_two_tone(), dt=0.1)
         model = fit_exact_dmd(pair)
-        report = modal_energy_ranking(model, pair)
+        report = modal_energy_ranking(model)
         energies = [e.energy for e in report.entries]
         # first conjugate pair carries the amplitude-2 tone: 4x the energy
         ratio = energies[0] / energies[2]
@@ -49,7 +49,7 @@ class TestEnergyRanking:
         rng = np.random.default_rng(0)
         pair = SnapshotPair.from_snapshots(rng.standard_normal((5, 60)), dt=0.1)
         model = fit_exact_dmd(pair)
-        report = modal_energy_ranking(model, pair)
+        report = modal_energy_ranking(model)
         assert sum(e.energy for e in report.entries) == pytest.approx(1.0, abs=1e-9)
         assert report.cumulative_energy[-1] == pytest.approx(1.0, abs=1e-9)
 
@@ -57,7 +57,7 @@ class TestEnergyRanking:
         rng = np.random.default_rng(1)
         pair = SnapshotPair.from_snapshots(rng.standard_normal((6, 80)), dt=0.1)
         model = fit_exact_dmd(pair)
-        report = modal_energy_ranking(model, pair)
+        report = modal_energy_ranking(model)
         energies = [e.energy for e in report.entries]
         # non-increasing up to the rounding spread inside conjugate pairs
         assert np.all(np.diff(energies) <= 1e-12)
@@ -65,7 +65,7 @@ class TestEnergyRanking:
     def test_pair_participation_symmetry(self):
         pair = SnapshotPair.from_snapshots(lti_two_tone(), dt=0.1)
         model = fit_exact_dmd(pair)
-        report = modal_energy_ranking(model, pair)
+        report = modal_energy_ranking(model)
         by_pair = {}
         for e in report.entries:
             by_pair.setdefault(e.pair_id, []).append(e)
@@ -82,8 +82,8 @@ class TestEnergyRanking:
         data = lti_two_tone()
         pair = SnapshotPair.from_snapshots(data, dt=0.1)
         scaled = SnapshotPair.from_snapshots(1000.0 * data, dt=0.1)
-        r1 = modal_energy_ranking(fit_exact_dmd(pair), pair)
-        r2 = modal_energy_ranking(fit_exact_dmd(scaled), scaled)
+        r1 = modal_energy_ranking(fit_exact_dmd(pair))
+        r2 = modal_energy_ranking(fit_exact_dmd(scaled))
         eig1 = [e.eigenvalue for e in r1.entries]
         eig2 = [e.eigenvalue for e in r2.entries]
         assert np.allclose(eig1, eig2, atol=1e-9)
@@ -91,7 +91,7 @@ class TestEnergyRanking:
     def test_text_table_lists_all_modes(self):
         pair = SnapshotPair.from_snapshots(lti_two_tone(), dt=0.1)
         model = fit_exact_dmd(pair)
-        report = modal_energy_ranking(model, pair, channels=("a", "b", "c", "d"))
+        report = modal_energy_ranking(model, channels=("a", "b", "c", "d"))
         text = report.to_text()
         assert len(text.splitlines()) == 1 + len(report.entries)
         assert "freq [Hz]" in text

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from modecast import (
+    EnsembleError,
     MultivariateSeries,
     ShdmdConfig,
     ValidationError,
@@ -42,6 +43,14 @@ class TestSampleHyperparams:
         a = [sample_hyperparams(np.random.default_rng(5), config, 5.0, 0.5) for _ in range(1)]
         b = [sample_hyperparams(np.random.default_rng(5), config, 5.0, 0.5) for _ in range(1)]
         assert a == b
+
+    def test_draws_leave_two_hankel_columns(self):
+        # Draw 79 of seed 0 at t_ref 5 s, dt 0.5 s is (98, 96) before the
+        # redraw: a single Hankel column.
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            n_tr, n_d = sample_hyperparams(rng, ShdmdConfig(), t_ref=5.0, dt=0.5)
+            assert n_tr - 1 - n_d >= 2
 
     def test_impossible_ranges_error(self):
         config = ShdmdConfig(ltr_range=(0.1, 0.1), ld_ratio_range=(1.0, 1.0), seed=0)
@@ -144,3 +153,32 @@ class TestShdmdForecast:
         assert "wave_mean" in header and "wave_std" in header
         assert "wave_lo" in header and "wave_hi" in header
         assert len(header) == 1 + 4 * demo_noisy.n_channels
+
+
+class TestHalfFailRule:
+    """Members whose window starts before the record fail; the ensemble
+    survives while at least half of them (rounded up) fit."""
+
+    N = 9
+
+    def forecast_with_k_ok(self, k: int, workers: int):
+        s = sine_series()
+        config = ShdmdConfig(n_realizations=self.N, seed=12)
+        rng = np.random.default_rng(config.seed)
+        n_trs = sorted(sample_hyperparams(rng, config, 10.0, s.dt)[0] for _ in range(self.N))
+        assert len(set(n_trs)) == self.N
+        # Windows of at most n_trs[k - 1] samples fit before this instant.
+        t_end = (n_trs[k - 1] - 1) * s.dt
+        return shdmd_forecast(s, config, t_end=t_end, horizon=5.0, t_ref=10.0, workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_half_ok_survives(self, workers):
+        out = self.forecast_with_k_ok(5, workers)
+        assert out.n_effective == 5
+        failed = [r for r in out.realizations if not r.ok]
+        assert len(failed) == 4 and all("before the record" in r.message for r in failed)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_under_half_ok_raises(self, workers):
+        with pytest.raises(EnsembleError, match="5/9 realizations failed"):
+            self.forecast_with_k_ok(4, workers)
