@@ -4,7 +4,9 @@ Wires ingestion, preprocessing, fitting, and report persistence. Length
 flags accept explicit unit suffixes: `10T` means 10 reference periods,
 `0.5625R` a ratio of the training length (delay only), and `45` or `45s`
 plain seconds. Every command writes a manifest.json with the resolved
-inputs so a run can be repeated bit for bit.
+inputs so a run can be repeated bit for bit, including the BLAS thread
+counts the fits ran on: the caller's for `analyze` and deterministic
+`forecast`, one for the pooled fits of `forecast --stochastic` and `sweep`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import scipy
 
 from . import __version__
 from .errors import ValidationError
-from .hankel import HdmdConfig, fit_hdmd, n_samples_floor, predict
+from .hankel import HdmdConfig, blas_threads, fit_hdmd, n_samples_floor, predict, usable_cores
 from .harness import SweepPlan, compare_filtered_unfiltered, dataset_hash, run_sweep
 from .metrics import evaluate_all
 from .modal import modal_energy_ranking, reference_period
@@ -86,7 +88,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, with_data=True):
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=None, help="thread pool size")
+        p.add_argument(
+            "--workers",
+            type=int,
+            default=None,
+            help="thread pool size (default: usable cores; "
+            "fits in the pool use single-threaded BLAS)",
+        )
         if with_data:
             src = p.add_argument_group("data source (exactly one)")
             src.add_argument("--csv", help="input CSV (time,<ch1>,... header)")
@@ -225,7 +233,15 @@ def write_manifest(out_dir: Path, doc: dict) -> None:
         "scipy": scipy.__version__,
     }
     doc["decisions"] = DECISIONS
+    caller_threads = blas_threads()
+    doc["blas_threads"] = caller_threads
+    doc["pool_blas_threads"] = 1 if caller_threads is not None else None
     write_json(out_dir / "manifest.json", doc)
+
+
+def _resolved_workers(args) -> int:
+    """The pool size --workers asks for; pool_map caps it at the task count."""
+    return usable_cores() if args.workers is None else args.workers
 
 
 def _augmented_row_names(channels: tuple[str, ...], n_d: int) -> tuple[str, ...]:
@@ -310,6 +326,7 @@ def cmd_forecast(args) -> int:
         result.save_csv(out / "stochastic.csv")
         write_csv(result.mean, out / "prediction.csv")
         prediction = result.mean
+        manifest["workers"] = _resolved_workers(args)
         manifest["n_effective"] = result.n_effective
         manifest["realizations"] = [
             {"n_tr": r.n_tr, "n_d": r.n_d, "ok": r.ok, "unstable": r.unstable,
@@ -364,6 +381,7 @@ def cmd_sweep(args) -> int:
         "source": source,
         **ref_info,
         "seed": args.seed,
+        "workers": _resolved_workers(args),
         "n_tr_levels": list(plan.n_tr_levels(t_ref, raw.dt)),
         "n_d_levels": list(plan.n_d_levels(t_ref, raw.dt)),
         "n_te_levels": list(plan.n_te_levels(t_ref, raw.dt)),

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDataError, InstabilityWarning, ValidationError
+from .errors import DegenerateDataError, InstabilityWarning, ValidationError, caller_stacklevel
 from .series import write_json
 
 __all__ = [
@@ -307,7 +307,7 @@ def forecast(model: DmdModel, n_steps: int, guard: float = GROWTH_GUARD) -> np.n
             f"eigenvalue magnitude {worst:.4f} exceeds growth guard {guard}; "
             "forecast may diverge",
             InstabilityWarning,
-            stacklevel=2,
+            stacklevel=caller_stacklevel(),
         )
     powers = model.eigenvalues[:, None] ** np.arange(1, n_steps + 1)
     return np.real(model.modes @ (powers * model.amplitudes[:, None]))

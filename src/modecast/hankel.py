@@ -9,9 +9,14 @@ physical units.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -24,6 +29,8 @@ __all__ = [
     "HdmdForecaster",
     "n_samples_floor",
     "hankel_shape_error",
+    "usable_cores",
+    "blas_threads",
     "pool_map",
     "build_hankel_pair",
     "fit_hdmd",
@@ -62,13 +69,92 @@ def hankel_shape_error(n_tr: int, n_d: int) -> str:
     return ""
 
 
+# numpy's bundled OpenBLAS, the BLAS its linalg runs on, and its thread controls.
+_OPENBLAS_GLOB = "numpy.libs/libscipy_openblas64_*"
+_OPENBLAS_GET = "scipy_openblas_get_num_threads64_"
+_OPENBLAS_SET = "scipy_openblas_set_num_threads64_"
+_blas_lock = threading.Lock()
+_blas_controls = None  # (get, set) once looked up; () when there is no OpenBLAS
+_blas_depth = 0  # pool_map calls running on the pinned count
+_blas_saved = 0  # the count to restore when the last of them returns
+
+
+def _openblas():
+    """numpy's OpenBLAS (get, set) thread-count functions, or () without one.
+
+    Looked up on first use, under _blas_lock, so importing the package
+    loads nothing.
+    """
+    global _blas_controls
+    if _blas_controls is None:
+        _blas_controls = ()
+        for path in sorted(Path(np.__file__).parent.parent.glob(_OPENBLAS_GLOB)):
+            try:
+                lib = ctypes.CDLL(str(path))
+            except OSError:
+                continue
+            if hasattr(lib, _OPENBLAS_GET) and hasattr(lib, _OPENBLAS_SET):
+                get, set_ = getattr(lib, _OPENBLAS_GET), getattr(lib, _OPENBLAS_SET)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                _blas_controls = (get, set_)
+                break
+    return _blas_controls
+
+
+def blas_threads() -> int | None:
+    """The thread count numpy's OpenBLAS runs on now; None without OpenBLAS."""
+    with _blas_lock:
+        controls = _openblas()
+    return controls[0]() if controls else None
+
+
+@contextmanager
+def _single_threaded_blas():
+    """Pin numpy's OpenBLAS to one thread; the last of overlapping callers
+    to leave restores the count the first one found. No-op without OpenBLAS."""
+    global _blas_depth, _blas_saved
+    with _blas_lock:
+        controls = _openblas()
+        if controls and _blas_depth == 0:
+            _blas_saved = controls[0]()
+            controls[1](1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if controls and _blas_depth == 0:
+                controls[1](_blas_saved)
+
+
+def usable_cores() -> int:
+    """Cores this process may run on (its CPU affinity where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def pool_map(fn, items, workers: int | None) -> list:
-    """[fn(x) for x in items], on a pool of `workers` threads unless workers
-    is at most 1 (None: ThreadPoolExecutor's default size)."""
-    if workers is None or workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
+    """[fn(x) for x in items], with numpy's OpenBLAS on one thread.
+
+    Runs on a pool of min(workers, len(items)) threads, or serially when
+    that is at most 1; workers=None means usable_cores(). BLAS is pinned to
+    one thread for the whole call at every pool size, so results are
+    bitwise equal whatever workers is, and the pool threads do not each
+    start their own BLAS threads. The caller's BLAS thread count is
+    restored on return; BLAS calls the caller makes from other threads
+    meanwhile run single-threaded too.
+    """
+    items = list(items)
+    n_threads = min(usable_cores() if workers is None else workers, len(items))
+    with _single_threaded_blas():
+        if n_threads > 1:
+            with ThreadPoolExecutor(max_workers=n_threads) as pool:
+                return list(pool.map(fn, items))
+        return [fn(x) for x in items]
 
 
 @dataclass(frozen=True)

@@ -334,6 +334,9 @@ def run_sweep(
     both training and truth windows come from the filtered signal. Each
     (cell, instant) fits once and serves all horizons by slicing the
     longest forecast. Individual failures become error-carrying samples.
+    The (cell, instant) tasks run through hankel.pool_map on `workers`
+    threads (None: usable cores), each on single-threaded BLAS; the
+    samples do not depend on workers.
     """
     sha = dataset_hash(series)
     instants = random_test_instants(series, plan, t_ref)

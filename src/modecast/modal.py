@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from .dmd import DmdModel
 from .errors import ValidationError
@@ -240,6 +239,8 @@ def reference_period(
         raise ValidationError(f"need at least 16 samples, got {x.size}")
     if np.ptp(x) == 0:
         raise ValidationError("constant channel has a flat spectrum; no peak exists")
+    from scipy import signal  # imported here: scipy.signal is slow to import
+
     nperseg = spec.nperseg or max(16, int(x.size * spec.segment_fraction))
     nperseg = min(nperseg, x.size)
     freqs, power = signal.welch(

@@ -7,8 +7,10 @@ the ensemble is summarized by its mean, per-sample standard deviation, and
 a Chebyshev band mean +/- k * std.
 
 All hyperparameter pairs are drawn sequentially from the seeded generator
-before any fitting starts, so results are reproducible regardless of how
-the fits are scheduled.
+before any fitting starts, and every member is fitted through
+hankel.pool_map on single-threaded BLAS, so members and summaries are
+bitwise equal for a seed whatever the pool size and whatever BLAS thread
+count the caller runs on.
 """
 
 from __future__ import annotations
@@ -161,7 +163,9 @@ def shdmd_forecast(
     Realizations that fail to fit (degenerate windows and the like) are
     recorded and excluded; more than half failing aborts the ensemble.
     Mean and std are elementwise over surviving members, std with the
-    population convention.
+    population convention. Members are fitted by hankel.pool_map on
+    `workers` threads (None: usable cores), each on single-threaded BLAS;
+    the result does not depend on workers.
     """
     rng = np.random.default_rng(config.seed)
     draws = [

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal
 
 from .errors import ValidationError
 from .series import MultivariateSeries
@@ -188,6 +187,8 @@ def _resonator_bank(
 ) -> np.ndarray:
     """Unit-std narrow-band oscillations: second-order autoregressive
     resonators driven by white noise, transient discarded."""
+    from scipy import signal  # imported here: scipy.signal is slow to import
+
     out = np.empty((len(freqs), n_samples))
     for k, (freq, zeta) in enumerate(zip(freqs, damping)):
         rho = np.exp(-zeta * dt)

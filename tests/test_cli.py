@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from modecast import FilterSpec, cli, load_csv, lowpass_filter, reference_period
+from modecast.hankel import blas_threads, usable_cores
 from modecast.harness import dataset_hash
 from modecast.synth import SynthSpec, demo_dataset, generate
 
@@ -20,6 +21,16 @@ def run(*argv) -> int:
 def read_json(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def assert_threads_recorded(manifest, workers=None):
+    """BLAS thread counts in every manifest; the pool size where a pool runs."""
+    assert manifest["blas_threads"] == blas_threads()
+    assert manifest["pool_blas_threads"] == (None if blas_threads() is None else 1)
+    if workers is None:
+        assert "workers" not in manifest
+    else:
+        assert manifest["workers"] == workers
 
 
 def read_rows(path):
@@ -40,6 +51,7 @@ def test_synth(synth_dir):
     assert manifest["command"] == "synth"
     assert manifest["dataset_sha256"] == dataset_hash(series)
     assert manifest["n_samples"] == series.n_samples == 1201
+    assert_threads_recorded(manifest)
     assert manifest["channels"] == list(series.channels)
     assert read_json(synth_dir / "truth.json")["dominant_period_s"] == truth.dominant_period_s
     loaded = load_csv(synth_dir / "dataset.csv", DT)
@@ -54,6 +66,7 @@ def test_analyze(synth_dir, tmp_path):
     assert manifest["command"] == "analyze"
     assert manifest["source"]["kind"] == "csv"
     assert manifest["preprocess"]["filter_on"] is True
+    assert_threads_recorded(manifest)
     t_ref = manifest["t_ref_s"]
     assert (manifest["n_tr"], manifest["n_d"]) == (int(10 * t_ref / DT), int(0.5 * t_ref / DT))
     model = read_json(out / "model.json")
@@ -72,6 +85,7 @@ def test_forecast_deterministic_scored(tmp_path):
     assert manifest["command"] == "forecast"
     assert manifest["stochastic"] is False
     assert manifest["t_end"] == 400.0
+    assert_threads_recorded(manifest)
     n_steps = int(manifest["horizon_s"] / DT)
     rows = read_rows(out / "prediction.csv")
     assert len(rows) == n_steps
@@ -89,6 +103,7 @@ def test_forecast_stochastic(tmp_path):
                "--out", out) == 0
     manifest = read_json(out / "manifest.json")
     assert manifest["stochastic"] is True
+    assert_threads_recorded(manifest, workers=1)
     assert len(manifest["realizations"]) == 20
     assert manifest["n_effective"] == sum(r["ok"] for r in manifest["realizations"]) == 20
     rows = read_rows(out / "stochastic.csv")
@@ -96,6 +111,14 @@ def test_forecast_stochastic(tmp_path):
     assert len(rows) == len(prediction) == int(manifest["horizon_s"] / DT)
     assert [r["wave_mean"] for r in rows] == [r["wave"] for r in prediction]
     assert read_json(out / "metrics.json")["averaged"]["nrmse"] == manifest["avg_nrmse"]
+
+
+def test_forecast_stochastic_default_workers(tmp_path):
+    out = tmp_path / "stochastic"
+    assert DEMO[-2:] == ["--workers", "1"]
+    assert run("forecast", *DEMO[:-2], "--t-end", 400, "--stochastic", "--realizations", 4,
+               "--out", out) == 0
+    assert_threads_recorded(read_json(out / "manifest.json"), workers=usable_cores())
 
 
 SWEEP = ["--ltr-levels", "2,4", "--ld-levels", "0.5,4", "--lte-levels", "1", "--instants", 3]
@@ -106,6 +129,7 @@ def test_sweep(tmp_path):
     assert run("sweep", *DEMO, *SWEEP, "--out", out) == 0
     manifest = read_json(out / "manifest.json")
     assert manifest["command"] == "sweep"
+    assert_threads_recorded(manifest, workers=1)
     assert manifest["plan"]["filter_on"] is True
     assert manifest["dataset_sha256"] == manifest["source"]["sha256"]
     rows = read_rows(out / "samples.csv")

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from modecast import (
     HdmdConfig,
+    InstabilityWarning,
     MultivariateSeries,
     SnapshotPair,
     ValidationError,
@@ -14,7 +17,8 @@ from modecast import (
     nrmse,
     predict,
 )
-from modecast.hankel import n_samples_floor
+from modecast import hankel
+from modecast.hankel import blas_threads, n_samples_floor, pool_map
 
 
 def make_series(values, dt=0.1, t0=0.0):
@@ -202,6 +206,16 @@ class TestPredict:
         jump = np.abs(pred.values[:, 0] - s.values[:, i_end])
         assert np.all(jump <= np.percentile(increments, 95, axis=1))
 
+    def test_instability_warning_names_the_caller(self):
+        dt = 1.0
+        t = dt * np.arange(60)
+        s = make_series(np.exp(0.1 * t) * np.sin(2 * np.pi * 0.1 * t), dt=dt)
+        fc = fit_hdmd(s, HdmdConfig(n_tr=50, n_d=4), t_end=s.t_end)
+        assert fc.model.is_unstable()
+        with pytest.warns(InstabilityWarning) as record:
+            predict(fc, 3.0)
+        assert [w.filename for w in record] == [__file__]
+
     def test_horizon_below_dt_rejected(self):
         s = sine_series([0.1], [1.0], 0.1, 300)
         fc = fit_hdmd(s, HdmdConfig(n_tr=200, n_d=2), t_end=s.t_end)
@@ -218,3 +232,56 @@ class TestForecasterExport:
         assert doc["n_tr"] == 300
         assert doc["channels"] == ["ch0", "ch1"]
         assert len(doc["modes"]) == 2 * 6
+
+
+@pytest.fixture
+def caller_blas_threads():
+    """Run the test with the caller's OpenBLAS on 2 threads, then put back
+    the count it had."""
+    controls = hankel._openblas()
+    if not controls:
+        pytest.skip("numpy is not linked against an OpenBLAS with thread controls")
+    get, set_ = controls
+    before = get()
+    set_(2)
+    yield 2
+    set_(before)
+
+
+class TestPoolMap:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fits_run_on_one_blas_thread(self, caller_blas_threads, workers):
+        assert pool_map(lambda _: blas_threads(), range(4), workers) == [1] * 4
+        assert blas_threads() == caller_blas_threads
+
+    def test_count_restored_after_raise(self, caller_blas_threads):
+        def boom(_):
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="boom"):
+            pool_map(boom, range(3), 2)
+        assert blas_threads() == caller_blas_threads
+
+    def test_count_restored_after_overlapping_calls(self, caller_blas_threads):
+        entered, release = threading.Event(), threading.Event()
+        inside = []
+
+        def hold(_):
+            entered.set()
+            release.wait(10)
+            inside.append(blas_threads())
+
+        outer = threading.Thread(target=pool_map, args=(hold, [0], 1))
+        outer.start()
+        assert entered.wait(10)
+        # A second call enters and leaves while the first is still inside.
+        assert pool_map(lambda _: blas_threads(), [0], 1) == [1]
+        assert blas_threads() == 1
+        release.set()
+        outer.join(10)
+        assert inside == [1]
+        assert blas_threads() == caller_blas_threads
+
+    def test_results_in_order(self):
+        assert pool_map(lambda x: x * x, range(7), None) == [x * x for x in range(7)]
+        assert pool_map(lambda x: x, [], None) == []

@@ -189,13 +189,14 @@ class TestRunSweep:
                 n_d = n_samples_nearest(l_d * t_ref, small_noisy.dt)
                 assert ((l_tr, l_d) in skipped_cells) == (n_tr - 1 - n_d < 2)
 
-    def test_deterministic_exports(self, small_noisy, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2, None])
+    def test_deterministic_exports(self, small_noisy, tmp_path, workers):
         plan = SweepPlan(
             ltr_levels=(2.0, 4.0), ld_levels=(1.0,), lte_levels=(1.0,),
             n_test_instants=5, seed=7,
         )
-        a = run_sweep(small_noisy, plan, 5.0)
-        b = run_sweep(small_noisy, plan, 5.0)
+        a = run_sweep(small_noisy, plan, 5.0, workers=1)
+        b = run_sweep(small_noisy, plan, 5.0, workers=workers)
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
         a.save(dir_a)
         b.save(dir_b)

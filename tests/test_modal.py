@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import modecast
 from modecast import (
     MultivariateSeries,
     SnapshotPair,
@@ -171,3 +177,17 @@ class TestReferencePeriod:
     def test_demo_wave_peak(self, demo_noisy):
         peak = reference_period(demo_noisy, channel="wave")
         assert peak.period_s == pytest.approx(5.0, rel=0.15)
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal is most of the package's import time; only
+    # reference_period and the synthetic resonators load it, on first use.
+    src = str(Path(modecast.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, modecast; print(sorted(m for m in sys.modules "
+         "if m.startswith('scipy.signal')))"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert proc.stdout.strip() == "[]"

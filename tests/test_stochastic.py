@@ -117,10 +117,13 @@ class TestShdmdForecast:
         frac_per_channel = inside.mean(axis=(0, 2))
         assert np.all(frac_per_channel >= 0.75)
 
-    def test_seed_determinism_bitwise(self, demo_noisy):
+    @pytest.mark.parametrize("workers", [1, 2, None])
+    def test_seed_determinism_bitwise(self, demo_noisy, workers):
         config = ShdmdConfig(n_realizations=15, seed=8)
-        a = shdmd_forecast(demo_noisy, config, t_end=1000.0, horizon=5.0, t_ref=5.0)
-        b = shdmd_forecast(demo_noisy, config, t_end=1000.0, horizon=5.0, t_ref=5.0)
+        a = shdmd_forecast(demo_noisy, config, t_end=1000.0, horizon=5.0, t_ref=5.0, workers=1)
+        b = shdmd_forecast(demo_noisy, config, t_end=1000.0, horizon=5.0, t_ref=5.0,
+                           workers=workers)
+        assert np.array_equal(a.members, b.members)
         assert np.array_equal(a.mean.values, b.mean.values)
         assert np.array_equal(a.std.values, b.std.values)
         assert a.realizations == b.realizations
