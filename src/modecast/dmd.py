@@ -1,17 +1,24 @@
 """Exact dynamic mode decomposition over snapshot pairs.
 
 Fits the best-fit linear one-step operator A with X' ~ A X through a
-truncated SVD, projects it onto the leading left singular vectors, and
-reconstructs the full-state eigenvectors from the time-shifted data (the
-exact-mode variant). A fitted model carries discrete-time eigenvalues,
-modes, amplitudes, and a reconstruction error, and can propagate forecasts
-by discrete eigenvalue powers.
+truncated SVD and projects it onto the leading left singular vectors. A
+fitted model forecasts by the real reduced recurrence z <- A~ z, read out
+through X' V / s (the reduced-order propagator of exact DMD), which equals
+propagating the exact modes by discrete eigenvalue powers without
+computing them. Its discrete-time eigenvalues, full-state eigenvectors
+reconstructed from the time-shifted data (the exact-mode variant),
+amplitudes, energies and reconstruction error are computed when first
+read. Where the reduced basis is rank deficient the modes are computed at
+fit time and forecasts run by eigenvalue powers on minimum-norm amplitudes.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +29,7 @@ __all__ = [
     "SnapshotPair",
     "RankPolicy",
     "DmdModel",
+    "Recurrence",
     "fit_exact_dmd",
     "continuous_eigenvalues",
     "amplitudes",
@@ -108,32 +116,106 @@ class RankPolicy:
 DEFAULT_RANK_POLICY = RankPolicy.tolerance(1e-10)
 
 
-@dataclass(frozen=True)
-class DmdModel:
-    """Fitted linear surrogate: x_{j+1} ~ A x_j decomposed into modes.
-
-    eigenvalues are discrete-time; modes columns are the exact full-state
-    eigenvectors; amplitudes are the coordinates of the final training
-    snapshot in the mode basis. energies hold the normalized mean squared
-    modal coordinates over the training window, and modes are ordered by
-    descending energy.
-    """
+class _Modal(NamedTuple):
+    """The eigendecomposition of a fit, in descending energy order."""
 
     eigenvalues: np.ndarray
     modes: np.ndarray
     amplitudes: np.ndarray
+    energies: np.ndarray | None
+    recon_error: float
+
+
+class Recurrence:
+    """One forecast step z <- operator z: operator is a real matrix, or a
+    vector of eigenvalues acting as a diagonal. Its spectral radius is
+    computed on first use and kept, for every model sharing the step."""
+
+    def __init__(self, operator: np.ndarray):
+        self.operator = operator
+        self._radius = None
+
+    @property
+    def radius(self) -> float:
+        if self._radius is None:
+            op = self.operator
+            self._radius = float(np.max(np.abs(op if op.ndim == 1 else np.linalg.eigvals(op))))
+        return self._radius
+
+
+@dataclass(frozen=True)
+class DmdModel:
+    """Fitted linear surrogate x_{j+1} ~ A x_j: a forecast propagator, and
+    its modes on demand.
+
+    A forecast runs z_s = operator z_{s-1} from z_0 = start and reads out
+    x_s = Re(readout z_s). On the reduced route, which fits normally take,
+    operator is the real projected operator A~ = U* X' V / s, readout the
+    basis X' V / s and start the coordinates of the final snapshot in that
+    basis. On the modal route (see fit_exact_dmd) operator holds the
+    eigenvalues, readout the exact modes and start the amplitudes.
+
+    The modal fields are the discrete-time eigenvalues, the exact
+    full-state eigenvectors (modes columns), the amplitudes (coordinates of
+    the final training snapshot in the mode basis), the energies
+    (normalized mean squared modal coordinates over the training window)
+    and the one-step reconstruction error; modes are ordered by descending
+    energy. modal_fit returns them, computing them on its first call.
+    min_norm_amplitudes is set when the modal route forecasts from
+    minimum-norm amplitudes.
+    """
+
+    readout: np.ndarray
+    recurrence: Recurrence
+    start: np.ndarray
     rank: int
     dt: float
-    recon_error: float
-    energies: np.ndarray = field(default=None)
+    modal_fit: Callable[[], _Modal] = field(repr=False, compare=False)
     min_norm_amplitudes: bool = False
+
+    @classmethod
+    def from_modes(
+        cls,
+        eigenvalues: np.ndarray,
+        modes: np.ndarray,
+        amplitudes: np.ndarray,
+        dt: float,
+        recon_error: float = 0.0,
+        energies: np.ndarray | None = None,
+        min_norm_amplitudes: bool = False,
+    ) -> "DmdModel":
+        """A model given by its modes; it forecasts by eigenvalue powers."""
+        modal = _Modal(np.asarray(eigenvalues), np.asarray(modes), np.asarray(amplitudes),
+                       energies, recon_error)
+        return cls(modal.modes, Recurrence(modal.eigenvalues), modal.amplitudes,
+                   modal.eigenvalues.size, dt, lambda: modal, min_norm_amplitudes)
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self.modal_fit().eigenvalues
+
+    @property
+    def modes(self) -> np.ndarray:
+        return self.modal_fit().modes
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        return self.modal_fit().amplitudes
+
+    @property
+    def energies(self) -> np.ndarray | None:
+        return self.modal_fit().energies
+
+    @property
+    def recon_error(self) -> float:
+        return self.modal_fit().recon_error
 
     @property
     def n_states(self) -> int:
-        return self.modes.shape[0]
+        return self.readout.shape[0]
 
     def is_unstable(self, guard: float = GROWTH_GUARD) -> bool:
-        return bool(np.max(np.abs(self.eigenvalues)) > guard)
+        return self.recurrence.radius > guard
 
     def to_dict(self) -> dict:
         return {
@@ -168,10 +250,17 @@ def fit_exact_dmd(
 ) -> DmdModel:
     """Fit the exact-mode decomposition of the one-step operator.
 
-    The SVD of X is truncated per rank_policy, the operator is projected
-    onto the retained left singular vectors, and modes are reconstructed
-    from the shifted matrix. Amplitudes are initialized on the final
-    snapshot, so forecasts continue the training data.
+    The SVD of X is truncated per rank_policy and the operator is projected
+    onto the retained left singular vectors: A~ = U* X' V / s. The final
+    snapshot is projected onto the basis X' V / s, q = (X' V / s)^+ x'_last.
+    When that basis has full column rank and its smallest singular value
+    clears SV_FLOOR, no exact mode X' V / s w (unit w) falls below the
+    floor, the amplitudes are b = W^-1 q, and Phi Lambda^s b =
+    (X' V / s) A~^s q: the model takes the reduced route and forecasts
+    without eigenvectors, which are computed only when a modal field is
+    read. Otherwise it takes the modal
+    route: the modes are computed now, null ones dropped, and forecasts run
+    on them with minimum-norm amplitudes where the basis is rank deficient.
     """
     U, s, Vh = np.linalg.svd(pair.X, full_matrices=False)
     if s[0] <= SV_FLOOR:
@@ -188,6 +277,20 @@ def fit_exact_dmd(
     # Low-rank operator projected onto the leading left singular vectors.
     XpVs = pair.Xp @ (Vr / sr)
     atilde = Ur.conj().T @ XpVs
+    q_last, _, rank_a, sv = np.linalg.lstsq(XpVs, pair.Xp[:, -1], rcond=None)
+    full_rank = rank_a == r
+    if full_rank and sv[-1] > SV_FLOOR:
+        return DmdModel(XpVs, Recurrence(atilde), q_last, r, pair.dt,
+                        cache(lambda: _modal_fit(pair, XpVs, atilde, True)[0]))
+    modal, min_norm = _modal_fit(pair, XpVs, atilde, full_rank)
+    return DmdModel.from_modes(**modal._asdict(), dt=pair.dt, min_norm_amplitudes=min_norm)
+
+
+def _modal_fit(
+    pair: SnapshotPair, XpVs: np.ndarray, atilde: np.ndarray, full_rank: bool
+) -> tuple[_Modal, bool]:
+    """Eigenvalues, exact modes, amplitudes, energies and reconstruction
+    error of a fit, and whether the amplitudes are minimum-norm."""
     eigvals, W = np.linalg.eig(atilde)
     modes = XpVs @ W
 
@@ -209,18 +312,17 @@ def fit_exact_dmd(
     # least squares with its minimum-norm semantics.
     coords = recon = None
     min_norm = True
-    if not dropped:
+    if full_rank and not dropped:
         rhs = np.column_stack([pair.X, pair.Xp[:, -1]])
-        q, _, rank_a, _ = np.linalg.lstsq(XpVs, rhs, rcond=None)
-        if rank_a == r:
-            try:
-                sol = np.linalg.solve(W, q.astype(complex))
-            except np.linalg.LinAlgError:
-                sol = None
-            if sol is not None:
-                coords, b = sol[:, :-1], sol[:, -1]
-                recon = XpVs @ (atilde @ q[:, :-1])
-                min_norm = False
+        q = np.linalg.lstsq(XpVs, rhs, rcond=None)[0]
+        try:
+            sol = np.linalg.solve(W, q.astype(complex))
+        except np.linalg.LinAlgError:
+            sol = None
+        if sol is not None:
+            coords, b = sol[:, :-1], sol[:, -1]
+            recon = XpVs @ (atilde @ q[:, :-1])
+            min_norm = False
     if coords is None:
         coords, _, lstsq_rank, _ = np.linalg.lstsq(modes, pair.X, rcond=None)
         b, _, b_rank, _ = np.linalg.lstsq(
@@ -236,17 +338,8 @@ def fit_exact_dmd(
 
     denom = np.linalg.norm(pair.Xp)
     recon_error = float(np.linalg.norm(pair.Xp - recon) / denom) if denom > 0 else 0.0
-
-    return DmdModel(
-        eigenvalues=eigvals[order],
-        modes=modes[:, order],
-        amplitudes=b[order],
-        rank=r,
-        dt=pair.dt,
-        recon_error=recon_error,
-        energies=energies[order],
-        min_norm_amplitudes=min_norm,
-    )
+    modal = _Modal(eigvals[order], modes[:, order], b[order], energies[order], recon_error)
+    return modal, min_norm
 
 
 def _energy_order(eigvals: np.ndarray, energies: np.ndarray, dt: float) -> np.ndarray:
@@ -294,20 +387,28 @@ def amplitudes(model: DmdModel, x_init: np.ndarray) -> np.ndarray:
 def forecast(model: DmdModel, n_steps: int, guard: float = GROWTH_GUARD) -> np.ndarray:
     """Propagate the model n_steps past its initialization instant.
 
-    Column s (1-based) is Re(Phi diag(lambda^s) b). Growing eigenvalues
-    beyond the guard still forecast but raise an InstabilityWarning.
+    Column s (1-based) is Re(readout z_s) with z_s = operator^s start. On
+    the reduced route that is the real recurrence z <- A~ z read out through
+    X' V / s, which equals Re(Phi diag(lambda^s) b); on the modal route it
+    is Re(Phi diag(lambda^s) b) itself. A spectral radius beyond the guard
+    still forecasts but raises an InstabilityWarning.
     """
     if n_steps < 1:
         raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
-    if model.amplitudes is None:
-        raise ValidationError("model carries no amplitudes")
     if model.is_unstable(guard):
-        worst = float(np.max(np.abs(model.eigenvalues)))
         warnings.warn(
-            f"eigenvalue magnitude {worst:.4f} exceeds growth guard {guard}; "
+            f"eigenvalue magnitude {model.recurrence.radius:.4f} exceeds growth guard {guard}; "
             "forecast may diverge",
             InstabilityWarning,
             stacklevel=caller_stacklevel(),
         )
-    powers = model.eigenvalues[:, None] ** np.arange(1, n_steps + 1)
-    return np.real(model.modes @ (powers * model.amplitudes[:, None]))
+    op = model.recurrence.operator
+    if op.ndim == 1:
+        states = op[:, None] ** np.arange(1, n_steps + 1) * model.start[:, None]
+    else:
+        states = np.empty((op.shape[0], n_steps))
+        z = model.start
+        for step in range(n_steps):
+            z = op @ z
+            states[:, step] = z
+    return np.real(model.readout @ states)

@@ -22,7 +22,9 @@ import numpy as np
 
 from .dmd import DEFAULT_RANK_POLICY, DmdModel, RankPolicy, SnapshotPair, fit_exact_dmd, forecast
 from .errors import ValidationError
-from .series import GRID_EPS, MultivariateSeries, ZScoreStats, write_json, zscore_fit
+from .series import (
+    GRID_EPS, MultivariateSeries, ZScoreStats, write_json, zscore_apply, zscore_fit, zscore_invert,
+)
 
 __all__ = [
     "HdmdConfig",
@@ -241,8 +243,8 @@ def fit_hdmd(
     """Fit on the window of config.n_tr samples ending at t_end.
 
     The window is z-scored with its own statistics, embedded per the
-    config's delay depth, and decomposed; amplitudes are initialized with
-    the final augmented snapshot so predictions continue the window.
+    config's delay depth, and decomposed; forecasts start from the final
+    augmented snapshot so predictions continue the window.
     """
     i_end = series.sample_index(t_end)
     i_start = i_end - config.n_tr + 1
@@ -253,8 +255,7 @@ def fit_hdmd(
         )
     window = series.window(i_start, i_end + 1)
     stats = zscore_fit(window, eps_std=EPS_STD)
-    normalized = (window.values - stats.mean[:, None]) / stats.std[:, None]
-    pair = build_hankel_pair(window.with_values(normalized), config.n_d)
+    pair = build_hankel_pair(zscore_apply(window, stats), config.n_d)
     model = fit_exact_dmd(pair, config.rank_policy)
     return HdmdForecaster(
         config=config,
@@ -269,8 +270,9 @@ def fit_hdmd(
 def predict(forecaster: HdmdForecaster, horizon: float) -> MultivariateSeries:
     """Forecast the undelayed state over the given horizon in seconds.
 
-    The augmented state is propagated by discrete eigenvalue powers; only
-    the top (most recent) block is retained and mapped back to physical
+    The model's recurrence is propagated (dmd.forecast: the reduced
+    recurrence, or eigenvalue powers on the modal route) and read out on
+    the top (most recent) block only, which is mapped back to physical
     units. The first output sample sits at t_end + dt.
     """
     if horizon < forecaster.dt:
@@ -279,11 +281,10 @@ def predict(forecaster: HdmdForecaster, horizon: float) -> MultivariateSeries:
         )
     n_steps = n_samples_floor(horizon, forecaster.dt)
     model = forecaster.model
-    # Propagating only the top block equals slicing the full augmented
-    # forecast: the block rows of Phi act independently on the modal
-    # dynamics.
-    top = forecast(replace(model, modes=model.modes[: forecaster.n_channels]), n_steps)
-    values = top * forecaster.stats.std[:, None] + forecaster.stats.mean[:, None]
-    return MultivariateSeries(
-        forecaster.channels, forecaster.dt, values, t0=forecaster.t_end + forecaster.dt
+    # Reading out only the top block equals slicing the full augmented
+    # forecast: the readout rows act independently on the recurrence.
+    top = forecast(replace(model, readout=model.readout[: forecaster.n_channels]), n_steps)
+    series = MultivariateSeries(
+        forecaster.channels, forecaster.dt, top, t0=forecaster.t_end + forecaster.dt
     )
+    return zscore_invert(series, forecaster.stats)

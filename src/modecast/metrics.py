@@ -122,34 +122,53 @@ def nammae(pred, truth) -> tuple[np.ndarray, float]:
     return per, float(per.mean())
 
 
-def _kl(k: np.ndarray, h: np.ndarray) -> float:
-    mask = k > 0
-    return float(np.sum(k[mask] * np.log(k[mask] / h[mask])))
+def _kl(k: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Row-wise sum of k log(k / h) over the bins where k > 0 (h >= k / 2 there)."""
+    ratio = np.divide(k, h, out=np.ones_like(k), where=k > 0)
+    return np.sum(k * np.log(ratio), axis=1)
 
 
-def _jsd_channel(p: np.ndarray, t: np.ndarray, bins: int) -> float:
-    lo = min(p.min(), t.min())
-    hi = max(p.max(), t.max())
-    if hi <= lo:
-        # Both signals are the same constant: identical one-bin distributions.
-        return 0.0
-    edges = np.linspace(lo, hi, bins + 1)
-    q = np.histogram(p, bins=edges)[0].astype(np.float64)
-    r = np.histogram(t, bins=edges)[0].astype(np.float64)
-    q /= q.sum()
-    r /= r.sum()
-    m = 0.5 * (q + r)
-    return float(np.clip(0.5 * _kl(q, m) + 0.5 * _kl(r, m), 0.0, LN2))
+def _bin_index(x: np.ndarray, lo: np.ndarray, width: np.ndarray, bins: int) -> np.ndarray:
+    """Per row, the bin of each value on the edges lo + i width (i < bins),
+    the last bin closed at the top; with width 0 every value lands in the
+    last bin. Arithmetic gives the bin to within rounding; stepping against
+    the edges themselves makes it exact."""
+    edges = np.hstack([lo + np.arange(bins) * width, np.full_like(lo, np.inf)])
+    guess = np.divide(x - lo, width, out=np.full_like(x, bins - 1.0), where=width > 0)
+    k = np.floor(guess).clip(0, bins - 1).astype(np.intp)
+    while True:
+        down = x < np.take_along_axis(edges, k, axis=1)
+        up = x >= np.take_along_axis(edges, k + 1, axis=1)
+        if not (down.any() or up.any()):
+            return k
+        k += up
+        k -= down
 
 
 def jsd(pred, truth, bins: int = DEFAULT_BINS) -> tuple[np.ndarray, float]:
     """Jensen-Shannon divergence between the value distributions of
     prediction and truth, per channel on shared bin edges spanning the
-    union of their ranges. Natural log; bounded by ln 2."""
+    union of their ranges. Natural log; bounded by ln 2.
+
+    The edges of a channel are lo + i (hi - lo) / bins with the last one
+    exactly hi, and the last bin includes hi. A channel where both signals
+    are the same constant puts every value in one bin and scores 0. All
+    channels are binned in one pass.
+    """
     if bins < 2:
         raise ValidationError(f"bins must be >= 2, got {bins}")
     p, t, _ = _aligned(pred, truth)
-    per = np.array([_jsd_channel(p[i], t[i], bins) for i in range(t.shape[0])])
+    both = np.concatenate([p, t], axis=1)
+    lo = both.min(axis=1, keepdims=True)
+    width = (both.max(axis=1, keepdims=True) - lo) / bins
+    k = _bin_index(both, lo, width, bins)
+
+    n_ch, n = p.shape
+    flat = k + (np.arange(n_ch) * bins)[:, None]
+    q = np.bincount(flat[:, :n].ravel(), minlength=n_ch * bins).reshape(n_ch, bins) / n
+    r = np.bincount(flat[:, n:].ravel(), minlength=n_ch * bins).reshape(n_ch, bins) / n
+    m = 0.5 * (q + r)
+    per = np.clip(0.5 * _kl(q, m) + 0.5 * _kl(r, m), 0.0, LN2)
     return per, float(per.mean())
 
 

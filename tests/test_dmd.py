@@ -1,6 +1,5 @@
 import json
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -164,14 +163,13 @@ class TestContinuousEigenvalues:
         assert omega.shape == (1,)
 
 
-def _toy_model(eigs, dt):
+def _toy_model(eigs, dt, amplitudes=None):
     eigs = np.asarray(eigs, dtype=complex)
     r = eigs.size
-    return DmdModel(
+    return DmdModel.from_modes(
         eigenvalues=eigs,
         modes=np.eye(r, dtype=complex),
-        amplitudes=np.ones(r, dtype=complex),
-        rank=r,
+        amplitudes=np.ones(r, dtype=complex) if amplitudes is None else amplitudes,
         dt=dt,
         recon_error=0.0,
         energies=np.full(r, 1.0 / r),
@@ -192,11 +190,10 @@ class TestAmplitudes:
         assert np.linalg.norm(model.modes @ b - x_last) < 1e-8
 
     def test_orthogonal_init_gives_zero(self):
-        model = DmdModel(
+        model = DmdModel.from_modes(
             eigenvalues=np.array([0.9 + 0j]),
             modes=np.array([[1.0], [0.0]], dtype=complex),
             amplitudes=np.zeros(1, dtype=complex),
-            rank=1,
             dt=0.1,
             recon_error=0.0,
             energies=np.ones(1),
@@ -227,8 +224,7 @@ class TestForecast:
         assert np.allclose(out, expected, atol=1e-6)
 
     def test_steady_mode_constant(self):
-        model = _toy_model([1.0], dt=0.1)
-        model = replace(model, amplitudes=np.array([2.5 + 0j]))
+        model = _toy_model([1.0], dt=0.1, amplitudes=np.array([2.5 + 0j]))
         out = forecast(model, 4)
         assert np.allclose(out[0], 2.5)
 
@@ -272,3 +268,61 @@ class TestExport:
         assert np.allclose(eig, model.eigenvalues)
         assert len(doc["modes"]) == model.n_states
         assert len(doc["modes"][0]) == model.rank
+
+
+def modal_forecast(model, n_steps):
+    """Re(Phi diag(lambda^s) b), built from the model's modal fields."""
+    powers = model.eigenvalues[:, None] ** np.arange(1, n_steps + 1)
+    return np.real(model.modes @ (powers * model.amplitudes[:, None]))
+
+
+def growing_snapshots(seed=0, m=60):
+    """A rotation growing by 8% a step beside two decaying directions, lightly noisy."""
+    rng = np.random.default_rng(seed)
+    c, s = np.cos(0.4), np.sin(0.4)
+    a = np.diag([1.0, 1.0, 0.7, 0.5])
+    a[:2, :2] = 1.08 * np.array([[c, -s], [s, c]])
+    x = np.empty((4, m))
+    x[:, 0] = rng.standard_normal(4)
+    for j in range(1, m):
+        x[:, j] = a @ x[:, j - 1]
+    return x * (1.0 + 1e-3 * rng.standard_normal(x.shape))
+
+
+class TestReducedRoute:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_forecast_equals_modal_propagation(self, seed):
+        rng = np.random.default_rng(seed)
+        pair = SnapshotPair.from_snapshots(rng.standard_normal((8, 60)), dt=0.1)
+        model = fit_exact_dmd(pair)
+        assert model.recurrence.operator.ndim == 2 and not model.min_norm_amplitudes
+        out = forecast(model, 12)
+        expected = modal_forecast(model, 12)
+        assert np.linalg.norm(out - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    def test_growing_forecast_equals_modal_propagation(self):
+        pair = SnapshotPair.from_snapshots(growing_snapshots(), dt=0.1)
+        model = fit_exact_dmd(pair)
+        assert np.max(np.abs(model.eigenvalues)) > 1.05
+        assert model.recurrence.operator.ndim == 2 and not model.min_norm_amplitudes
+        with pytest.warns(InstabilityWarning):
+            out = forecast(model, 20)
+        expected = modal_forecast(model, 20)
+        assert np.linalg.norm(out - expected) <= 1e-10 * np.linalg.norm(expected)
+        assert model.is_unstable()
+
+    def test_rank_deficient_basis_takes_min_norm_modal_route(self):
+        # X spans two directions; X' maps them onto nearly parallel columns,
+        # so X' V / s is rank deficient while no exact mode falls below the
+        # floor.
+        rng = np.random.default_rng(5)
+        x = np.zeros((4, 30))
+        x[:2] = rng.standard_normal((2, 30))
+        b = np.zeros((4, 4))
+        b[:, :2] = [[0.9, 0.9], [0.0, 0.0], [1e4, 1e4], [0.0, 2e-12]]
+        model = fit_exact_dmd(SnapshotPair(x, b @ x, 0.1))
+        assert model.min_norm_amplitudes
+        assert model.rank == 2
+        assert model.recurrence.operator.ndim == 1
+        assert np.array_equal(model.recurrence.operator, model.eigenvalues)
+        assert np.allclose(forecast(model, 5), modal_forecast(model, 5), rtol=1e-12, atol=0)

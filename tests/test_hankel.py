@@ -17,7 +17,7 @@ from modecast import (
     nrmse,
     predict,
 )
-from modecast import hankel
+from modecast import ShdmdConfig, SweepPlan, cli, hankel, run_sweep, shdmd_forecast
 from modecast.hankel import blas_threads, n_samples_floor, pool_map
 
 
@@ -221,6 +221,43 @@ class TestPredict:
         fc = fit_hdmd(s, HdmdConfig(n_tr=200, n_d=2), t_end=s.t_end)
         with pytest.raises(ValidationError, match="horizon"):
             predict(fc, 0.05)
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Count the calls into np.linalg.eig and np.linalg.eigvals."""
+    calls = {"eig": 0, "eigvals": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+class TestEigenvectorFreeForecasts:
+    def test_ensemble_computes_no_eigenvectors(self, demo_noisy, linalg_calls):
+        out = shdmd_forecast(
+            demo_noisy, ShdmdConfig(n_realizations=12), 900.0, 10.0, 5.0, workers=1
+        )
+        assert out.n_effective == 12
+        assert linalg_calls["eig"] == 0
+        # One spectral radius per member, shared by its guard and its flag.
+        assert linalg_calls["eigvals"] == 12
+
+    def test_sweep_computes_no_eigenvectors(self, demo_noisy, linalg_calls):
+        result = run_sweep(demo_noisy, SweepPlan(n_test_instants=2, seed=0), 5.0, workers=1)
+        assert result.samples and result.n_failures == 0
+        assert linalg_calls["eig"] == 0
+        assert linalg_calls["eigvals"] > 0
+
+    def test_analyze_computes_one_eigendecomposition(self, tmp_path, linalg_calls):
+        argv = ["analyze", "--synth", "demo", "--dt", "0.5", "--duration", "600",
+                "--noise-std", "0.1", "--ltr", "10T", "--ld", "0.5T", "--workers", "1",
+                "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert linalg_calls == {"eig": 1, "eigvals": 0}
 
 
 class TestForecasterExport:

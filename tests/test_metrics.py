@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modecast import MultivariateSeries, ValidationError, evaluate_all, jsd, nammae, nrmse
+from modecast.metrics import DEFAULT_BINS
 from oracles import oracle_jsd, oracle_nammae, oracle_nrmse
 
 LN2 = math.log(2.0)
@@ -129,6 +131,59 @@ class TestJsd:
     def test_bad_bins(self):
         with pytest.raises(ValidationError, match="bins"):
             jsd(np.zeros((1, 4)), np.ones((1, 4)), bins=1)
+
+
+def assert_jsd_matches_oracle(pred, truth, bins):
+    pred, truth = np.asarray(pred, dtype=float), np.asarray(truth, dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        per, avg = jsd(pred, truth, bins=bins)
+    o_per, o_avg = oracle_jsd(pred.tolist(), truth.tolist(), bins=bins)
+    assert np.allclose(per, o_per, rtol=0, atol=1e-12)
+    assert avg == pytest.approx(o_avg, abs=1e-12)
+
+
+class TestJsdOnePass:
+    @pytest.mark.parametrize("lo, hi, bins", [(0.0, 1.0, 10), (-1.3, 2.9, 7), (1e3, 1e3 + 0.1, 50)])
+    def test_values_on_interior_edges_and_on_hi(self, lo, hi, bins):
+        width = (hi - lo) / bins
+        on_edges = [lo + i * width for i in range(1, bins)]
+        pred = [[lo, *on_edges, hi]]
+        truth = [[hi, hi, lo, *on_edges[:-1]]]
+        assert_jsd_matches_oracle(pred, truth, bins)
+
+    def test_constant_channel_beside_varying_ones(self):
+        rng = np.random.default_rng(15)
+        pred, truth = random_pair(rng, 4, 80)
+        pred[1] = truth[1] = 2.5
+        per, _ = jsd(pred, truth)
+        assert per[1] == 0.0
+        assert np.all(per[[0, 2, 3]] > 0.0)
+        assert_jsd_matches_oracle(pred, truth, DEFAULT_BINS)
+
+    def test_two_bins(self):
+        rng = np.random.default_rng(16)
+        pred, truth = random_pair(rng, 5, 33)
+        assert_jsd_matches_oracle(pred, truth, 2)
+        # Half the values exactly on the single interior edge.
+        assert_jsd_matches_oracle([[0.0, 0.5, 0.5, 1.0]], [[0.5, 0.5, 0.2, 1.0]], 2)
+
+    @given(
+        n_channels=st.integers(1, 6),
+        n_samples=st.integers(1, 40),
+        bins=st.integers(2, 60),
+        data=st.data(),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_matches_oracle(self, n_channels, n_samples, bins, data):
+        # Values from a small grid repeat and land on edges; floats fill in.
+        value = st.one_of(
+            st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0, 3.0]),
+            st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+        )
+        row = st.lists(value, min_size=n_samples, max_size=n_samples)
+        rows = st.lists(row, min_size=n_channels, max_size=n_channels)
+        assert_jsd_matches_oracle(data.draw(rows), data.draw(rows), bins)
 
 
 class TestEvaluateAll:
