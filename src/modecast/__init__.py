@@ -9,7 +9,6 @@ from .dmd import (
     DmdModel,
     RankPolicy,
     SnapshotPair,
-    amplitudes,
     continuous_eigenvalues,
     fit_exact_dmd,
     forecast,
@@ -69,7 +68,7 @@ __all__ = [
     "load_csv", "write_csv", "resample_uniform",
     "zscore_fit", "zscore_apply", "zscore_invert", "lowpass_filter",
     "SnapshotPair", "RankPolicy", "DmdModel",
-    "fit_exact_dmd", "continuous_eigenvalues", "amplitudes", "forecast",
+    "fit_exact_dmd", "continuous_eigenvalues", "forecast",
     "HdmdConfig", "HdmdForecaster", "build_hankel_pair", "fit_hdmd", "predict",
     "ShdmdConfig", "StochasticForecast",
     "sample_hyperparams", "shdmd_forecast", "chebyshev_band",

@@ -32,7 +32,6 @@ __all__ = [
     "Recurrence",
     "fit_exact_dmd",
     "continuous_eigenvalues",
-    "amplitudes",
     "forecast",
 ]
 
@@ -218,12 +217,16 @@ class DmdModel:
         return self.recurrence.radius > guard
 
     def to_dict(self) -> dict:
+        """The fit as a document for write_json. Eigenvalues, modes and
+        amplitudes are float64 arrays of [re, im] pairs (shapes (r, 2),
+        (n, r, 2) and (r, 2)), leaves that write_json writes as json.dump
+        would write their tolist()."""
         return {
             "dt": self.dt,
             "rank": self.rank,
-            "eigenvalues": _complex_pairs(self.eigenvalues),
-            "modes": [_complex_pairs(row) for row in self.modes],
-            "amplitudes": _complex_pairs(self.amplitudes),
+            "eigenvalues": _real_pairs(self.eigenvalues),
+            "modes": _real_pairs(self.modes),
+            "amplitudes": _real_pairs(self.amplitudes),
             "recon_error": self.recon_error,
         }
 
@@ -231,8 +234,8 @@ class DmdModel:
         write_json(path, self.to_dict())
 
 
-def _complex_pairs(arr: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(arr).ravel()]
+def _real_pairs(z: np.ndarray) -> np.ndarray:
+    return np.stack((z.real, z.imag), -1)
 
 
 def _truncation_rank(s: np.ndarray, policy: RankPolicy) -> int:
@@ -365,23 +368,6 @@ def continuous_eigenvalues(model: DmdModel) -> np.ndarray:
             stacklevel=2,
         )
     return np.log(lam[nonzero]) / model.dt
-
-
-def amplitudes(model: DmdModel, x_init: np.ndarray) -> np.ndarray:
-    """Least-squares coordinates of x_init in the mode basis.
-
-    The mode matrix is generally tall, so this has pseudoinverse semantics;
-    a rank-deficient basis yields the minimum-norm solution.
-    """
-    x_init = np.asarray(x_init)
-    if x_init.shape != (model.n_states,):
-        raise ValidationError(
-            f"x_init must have length {model.n_states}, got {x_init.shape}"
-        )
-    b, _, rank, _ = np.linalg.lstsq(model.modes, x_init.astype(complex), rcond=None)
-    if rank < model.rank:
-        warnings.warn("mode basis is rank deficient; minimum-norm amplitudes", stacklevel=2)
-    return b
 
 
 def forecast(model: DmdModel, n_steps: int, guard: float = GROWTH_GUARD) -> np.ndarray:

@@ -232,8 +232,8 @@ class SweepResult:
         return sum(1 for s in self.samples if s.report is None)
 
     def save(self, out_dir) -> dict:
-        """Persist manifest, raw samples, boxplot summaries, and a
-        plot-ready long-format file. Returns the manifest dict."""
+        """Persist the manifest, the raw samples (samples.csv) and the
+        boxplot summaries (boxplots.csv). Returns the manifest dict."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         manifest = {
@@ -269,18 +269,6 @@ class SweepResult:
                 for (l_tr, l_d, l_te, metric), st in self.summaries().items()
             ),
         )
-
-        # Long-format whitespace table for external plotting tools.
-        with open(out / "samples.dat", "w", encoding="utf-8") as fh:
-            fh.write("# l_tr l_d l_te instant metric value\n")
-            for s in self.samples:
-                if s.report is None:
-                    continue
-                for metric in METRIC_NAMES:
-                    fh.write(
-                        f"{s.l_tr} {s.l_d} {s.l_te} {s.t_end!r} {metric} "
-                        f"{getattr(s.report, f'avg_{metric}')!r}\n"
-                    )
         return manifest
 
 

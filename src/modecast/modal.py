@@ -55,6 +55,9 @@ class ModalReport:
     min_norm_projection: bool = False
 
     def to_dict(self) -> dict:
+        """The report as a document for write_json. Participation vectors
+        and cumulative_energy are float64 arrays, leaves that write_json
+        writes as json.dump would write their tolist()."""
         return {
             "channels": list(self.channels) if self.channels else None,
             "modes": [
@@ -65,12 +68,12 @@ class ModalReport:
                     "period_s": e.period_s if math.isfinite(e.period_s) else None,
                     "growth_rate": e.growth_rate,
                     "energy": e.energy,
-                    "participation": [float(x) for x in e.participation],
+                    "participation": e.participation,
                     "pair_id": e.pair_id,
                 }
                 for e in self.entries
             ],
-            "cumulative_energy": [float(x) for x in self.cumulative_energy],
+            "cumulative_energy": self.cumulative_energy,
         }
 
     def save_json(self, path) -> None:

@@ -243,10 +243,73 @@ def write_rows(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+# Placeholder json.dumps writes for each array; its JSON text is split on.
+_ARRAY_MARK = "\0modecast.write_json array\0"
+_ARRAY_TOKEN = json.dumps(_ARRAY_MARK)
+
+# Floats formatted per write, at most (or one leading-axis row, if larger).
+_BLOCK_FLOATS = 8192
+
+
 def write_json(path, doc) -> None:
-    """Write a JSON document with two-space indentation."""
+    """Write a JSON document with two-space indentation.
+
+    Besides what json.dump serializes, float64 numpy arrays may be leaves of
+    the document: each is written exactly as json.dump(..., indent=2)
+    would write its tolist(), NaN and infinities included, a block of
+    leading-axis rows at a time. Any other array or non-JSON object raises
+    TypeError as json.dump does.
+    """
+    arrays: list[np.ndarray] = []
+
+    def stash(obj):
+        if not (isinstance(obj, np.ndarray) and obj.dtype == np.float64):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        arrays.append(obj)
+        return _ARRAY_MARK
+
+    parts = json.dumps(doc, indent=2, default=stash).split(_ARRAY_TOKEN)
+    if len(parts) != len(arrays) + 1:
+        raise ValidationError(f"document text contains the array marker {_ARRAY_MARK!r}")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
+        fh.write(parts[0])
+        for arr, before, after in zip(arrays, parts, parts[1:]):
+            line = before[before.rfind("\n") + 1:]
+            _write_array(fh, arr, line[:len(line) - len(line.lstrip(" "))])
+            fh.write(after)
+
+
+def _layout(shape: tuple[int, ...], pad: str) -> str:
+    """%s template of json.dump's indent=2 text for a nested list of this
+    shape whose closing bracket sits at pad."""
+    if not shape:
+        return "%s"
+    if shape[0] == 0:
+        return "[]"
+    inner = pad + "  "
+    item = _layout(shape[1:], inner)
+    return "[\n" + inner + (",\n" + inner).join([item] * shape[0]) + "\n" + pad + "]"
+
+
+def _write_array(fh, arr: np.ndarray, pad: str) -> None:
+    """Write arr.tolist() as json.dump(..., indent=2) lays it out at pad."""
+    # float.__repr__ is json's text for every finite float; json.dumps
+    # spells NaN and the infinities, at the cost of a call per float.
+    fmt = float.__repr__ if np.isfinite(arr).all() else json.dumps
+    if arr.size == 0 or arr.ndim == 0:
+        fh.write(_layout(arr.shape, pad) % tuple(map(fmt, arr.ravel().tolist())))
+        return
+    inner = pad + "  "
+    sep = ",\n" + inner
+    row = _layout(arr.shape[1:], inner)
+    per_block = min(arr.shape[0], max(1, _BLOCK_FLOATS // arr[0].size))
+    full = sep.join([row] * per_block)
+    fh.write("[\n" + inner)
+    for start in range(0, arr.shape[0], per_block):
+        block = arr[start:start + per_block]
+        template = full if block.shape[0] == per_block else sep.join([row] * block.shape[0])
+        fh.write((sep if start else "") + template % tuple(map(fmt, block.ravel().tolist())))
+    fh.write("\n" + pad + "]")
 
 
 def zscore_fit(series: MultivariateSeries, eps_std: float | None = None) -> ZScoreStats:

@@ -33,6 +33,12 @@ def assert_threads_recorded(manifest, workers=None):
         assert manifest["workers"] == workers
 
 
+def assert_json_layout(path):
+    """The file is exactly json.dump's indent=2 text of what it holds."""
+    text = path.read_text(encoding="utf-8")
+    assert json.dumps(json.loads(text), indent=2) == text
+
+
 def read_rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
@@ -76,6 +82,8 @@ def test_analyze(synth_dir, tmp_path):
     assert len(report["channels"]) == 15 * (manifest["n_d"] + 1)
     text = (out / "modal_report.txt").read_text(encoding="utf-8").splitlines()
     assert len(text) == 1 + model["rank"]
+    assert_json_layout(out / "model.json")
+    assert_json_layout(out / "modal_report.json")
 
 
 def test_forecast_deterministic_scored(tmp_path):
@@ -95,6 +103,7 @@ def test_forecast_deterministic_scored(tmp_path):
     assert manifest["avg_nrmse"] == metrics["averaged"]["nrmse"]
     model = read_json(out / "model.json")
     assert (model["n_tr"], model["n_d"]) == (manifest["n_tr"], manifest["n_d"])
+    assert_json_layout(out / "model.json")
 
 
 def test_forecast_stochastic(tmp_path):
@@ -137,7 +146,6 @@ def test_sweep(tmp_path):
     assert manifest["n_failures"] == 0
     assert {(c["l_tr"], c["l_d"]) for c in manifest["skipped_cells"]} == {(2.0, 4.0), (4.0, 4.0)}
     assert len(read_rows(out / "boxplots.csv")) == 2 * 3
-    assert (out / "samples.dat").is_file()
 
 
 def test_sweep_no_filter_recorded(tmp_path):

@@ -11,7 +11,6 @@ from modecast import (
     RankPolicy,
     SnapshotPair,
     ValidationError,
-    amplitudes,
     continuous_eigenvalues,
     fit_exact_dmd,
     forecast,
@@ -176,39 +175,6 @@ def _toy_model(eigs, dt, amplitudes=None):
     )
 
 
-class TestAmplitudes:
-    def test_identity_basis(self):
-        model = _toy_model([0.9, 0.8], dt=0.1)
-        b = amplitudes(model, np.array([3.0, -1.0]))
-        assert np.allclose(b, [3.0, -1.0])
-
-    def test_residual_on_fitted_model(self):
-        pair = SnapshotPair.from_snapshots(rotation_snapshots(), dt=0.1)
-        model = fit_exact_dmd(pair)
-        x_last = pair.Xp[:, -1]
-        b = amplitudes(model, x_last)
-        assert np.linalg.norm(model.modes @ b - x_last) < 1e-8
-
-    def test_orthogonal_init_gives_zero(self):
-        model = DmdModel.from_modes(
-            eigenvalues=np.array([0.9 + 0j]),
-            modes=np.array([[1.0], [0.0]], dtype=complex),
-            amplitudes=np.zeros(1, dtype=complex),
-            dt=0.1,
-            recon_error=0.0,
-            energies=np.ones(1),
-        )
-        x = np.array([0.0, 2.0])
-        b = amplitudes(model, x)
-        assert np.allclose(b, 0.0)
-        assert np.linalg.norm(model.modes @ b - x) == pytest.approx(np.linalg.norm(x))
-
-    def test_wrong_length_rejected(self):
-        model = _toy_model([0.9], dt=0.1)
-        with pytest.raises(ValidationError):
-            amplitudes(model, np.array([1.0, 2.0]))
-
-
 class TestForecast:
     def test_geometric_sequence(self):
         model = _toy_model([0.9], dt=0.1)
@@ -268,6 +234,18 @@ class TestExport:
         assert np.allclose(eig, model.eigenvalues)
         assert len(doc["modes"]) == model.n_states
         assert len(doc["modes"][0]) == model.rank
+
+    def test_arrays_hold_the_complex_pairs(self, demo_noisy):
+        # Each complex entry becomes one [re, im] pair, rows of modes kept.
+        def pairs(arr):
+            return [[float(z.real), float(z.imag)] for z in np.asarray(arr).ravel()]
+
+        x = demo_noisy.values[:, :400]
+        model = fit_exact_dmd(SnapshotPair.from_snapshots(np.vstack([x[:, :-3], x[:, 3:]]), dt=0.5))
+        doc = model.to_dict()
+        assert np.asarray(doc["eigenvalues"]).tolist() == pairs(model.eigenvalues)
+        assert np.asarray(doc["modes"]).tolist() == [pairs(row) for row in model.modes]
+        assert np.asarray(doc["amplitudes"]).tolist() == pairs(model.amplitudes)
 
 
 def modal_forecast(model, n_steps):

@@ -200,7 +200,7 @@ class TestRunSweep:
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
         a.save(dir_a)
         b.save(dir_b)
-        for name in ("manifest.json", "samples.csv", "boxplots.csv", "samples.dat"):
+        for name in ("manifest.json", "samples.csv", "boxplots.csv"):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
     def test_sample_counts_per_cell(self, small_noisy):

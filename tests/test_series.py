@@ -1,9 +1,13 @@
+import ast
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from modecast import (
     FilterSpec,
@@ -18,6 +22,7 @@ from modecast import (
     zscore_fit,
     zscore_invert,
 )
+from modecast.series import write_json
 from oracles import tone_amplitude
 
 
@@ -290,3 +295,73 @@ class TestCsv:
         assert back.channels == s.channels
         assert np.array_equal(back.values, s.values)
         assert back.t0 == s.t0
+
+
+def tolisted(doc):
+    """The document with every array replaced by its tolist()."""
+    if isinstance(doc, np.ndarray):
+        return doc.tolist()
+    if isinstance(doc, dict):
+        return {k: tolisted(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [tolisted(v) for v in doc]
+    return doc
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.5e-310, 1e300, 0.1]
+float_arrays = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4),
+    elements=st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(SPECIAL_FLOATS),
+)
+keys = st.text(alphabet=st.characters(codec="utf-8"), max_size=4)
+documents = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6) | float_arrays,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(keys, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestWriteJson:
+    @settings(deadline=None, max_examples=100)
+    @given(doc=documents)
+    @example(doc={"é\u2603": np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324]),
+                  "l": [np.zeros((2, 0)), np.zeros(0), np.ones((0, 3)), {"m": np.eye(3)[None]}]})
+    @example(doc=np.arange(24.0).reshape(2, 3, 4))
+    def test_bytes_equal_json_dump_of_tolist(self, doc, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "write_json.json"
+        write_json(path, doc)
+        assert path.read_bytes() == json.dumps(tolisted(doc), indent=2).encode("ascii")
+
+    def test_long_arrays_span_several_blocks(self, tmp_path):
+        rng = np.random.default_rng(3)
+        doc = {"flat": rng.standard_normal(20001), "rows": rng.standard_normal((3001, 7, 2))}
+        doc["rows"][1234, 5, 1] = math.nan
+        write_json(tmp_path / "doc.json", doc)
+        assert (tmp_path / "doc.json").read_text() == json.dumps(tolisted(doc), indent=2)
+
+    def test_marker_in_document_raises(self, tmp_path):
+        from modecast.series import _ARRAY_MARK
+
+        for doc in ({"a": _ARRAY_MARK, "b": np.zeros(2)}, {_ARRAY_MARK: 1.0}):
+            with pytest.raises(ValidationError, match="marker"):
+                write_json(tmp_path / "doc.json", doc)
+
+    @pytest.mark.parametrize("arr", [np.zeros(2, dtype=complex), np.arange(3),
+                                     np.array([1.0, None]), np.zeros(2, dtype=np.float32)])
+    def test_other_arrays_raise_type_error(self, arr, tmp_path):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            write_json(tmp_path / "doc.json", {"x": [arr]})
+
+    def test_json_is_written_only_by_series(self):
+        # One serializer: json.dump/json.dumps are called in series.py alone.
+        callers = set()
+        for path in sorted((Path(__file__).parents[1] / "src" / "modecast").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom) and node.module == "json":
+                    if {a.name for a in node.names} & {"dump", "dumps"}:
+                        callers.add(path.name)
+                if (isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps")
+                        and isinstance(node.value, ast.Name) and node.value.id == "json"):
+                    callers.add(path.name)
+        assert callers == {"series.py"}
